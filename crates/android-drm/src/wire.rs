@@ -409,30 +409,6 @@ pub fn decode_frame_full(buf: &[u8]) -> Result<(FrameBody, FrameMeta, usize), Wi
     Ok((body, FrameMeta { ctx, request_id }, total))
 }
 
-/// Reads the request id off a complete frame without decoding (or CRC
-/// checking) the body. The pipelined client's reader thread uses this
-/// to route a raw reply frame to its waiter before paying for the full
-/// decode; a frame too corrupt to peek returns `None` and the caller
-/// falls back to a full decode for the typed error.
-#[must_use]
-pub fn peek_request_id(frame: &[u8]) -> Option<u64> {
-    if frame.len() < HEADER_LEN || frame[..4] != MAGIC || frame[4] < 3 {
-        return None;
-    }
-    let flags = frame[6];
-    if flags & FLAG_REQUEST_ID == 0 {
-        return None;
-    }
-    let mut offset = HEADER_LEN;
-    if flags & FLAG_TRACE_CONTEXT != 0 {
-        offset += TraceContext::WIRE_LEN;
-    }
-    let bytes = frame.get(offset..offset + 8)?;
-    let mut id = [0u8; 8];
-    id.copy_from_slice(bytes);
-    Some(u64::from_le_bytes(id))
-}
-
 // ---------------------------------------------------------------------
 // Primitive reader/writer
 // ---------------------------------------------------------------------
@@ -1339,7 +1315,6 @@ mod tests {
         ] {
             for ctx in [None, Some(&ctx)] {
                 let frame = encode_frame_full(&body, ctx, Some(0xD00D_F00D_0000_0042));
-                assert_eq!(peek_request_id(&frame), Some(0xD00D_F00D_0000_0042));
                 let (decoded, meta, used) = decode_frame_full(&frame).unwrap();
                 assert_eq!(decoded, body);
                 assert_eq!(meta.ctx, ctx.copied());
@@ -1366,21 +1341,6 @@ mod tests {
             decode_frame_full(&frame),
             Err(WireError::Malformed { what: "request id exceeds payload" })
         );
-    }
-
-    #[test]
-    fn peek_request_id_ignores_frames_without_one() {
-        let body = FrameBody::Call(DrmCall::IsProvisioned);
-        assert_eq!(peek_request_id(&encode_frame(&body)), None);
-        let ctx = TraceContext { trace_id: 1, span_id: 2, parent_span_id: 0 };
-        assert_eq!(peek_request_id(&encode_frame_with(&body, Some(&ctx))), None);
-        assert_eq!(peek_request_id(&[]), None);
-        assert_eq!(peek_request_id(b"WDLK"), None);
-        // A v1/v2 frame whose reserved byte happens to carry the bit is
-        // not peeked — the flag did not exist in those revisions.
-        let mut payload = 9u64.to_le_bytes().to_vec();
-        payload.extend_from_slice(&encode_call(&DrmCall::IsProvisioned));
-        assert_eq!(peek_request_id(&handmade_frame(2, FLAG_REQUEST_ID, &payload)), None);
     }
 
     #[test]

@@ -1,9 +1,7 @@
 //! Transport comparison: the same licensed `DecryptSample` round trip
 //! through all three binder transports — in-process dispatch, the
-//! threaded worker pool, and framed TCP over loopback — plus pipelined
-//! TCP (several calls in flight on one shared connection, correlated by
-//! wire-v3 request ids), reporting per-call p50/p95/p99 so the cost of
-//! each IPC boundary is visible.
+//! threaded worker pool, and framed TCP over loopback — reporting
+//! per-call p50/p95/p99 so the cost of each IPC boundary is visible.
 //!
 //! ```text
 //! cargo bench -p wideleak-bench --bench transport_compare [-- --quick]
@@ -40,23 +38,14 @@ fn quick_mode() -> bool {
 }
 
 /// Boots an L3 CDM behind a fresh media DRM server on one transport.
-/// A `pipeline_depth` of 2+ puts the TCP binder in pipelined mode (it
-/// is ignored by the in-process transports, matching the ecosystem
-/// knob's semantics).
-fn boot_binder(
-    eco: &Ecosystem,
-    transport: TransportKind,
-    pipeline_depth: usize,
-) -> Arc<dyn Transport> {
+fn boot_binder(eco: &Ecosystem, transport: TransportKind) -> Arc<dyn Transport> {
     let backend = L3OemCrypto::new(
         CdmVersion::new(16, 0, 0),
         Arc::new(HookEngine::new()),
         Arc::new(ProcessMemory::new("mediaserver")),
     );
     backend
-        .install_keybox(
-            eco.trust().issue_keybox(&format!("bench-transport-{transport}-{pipeline_depth}")),
-        )
+        .install_keybox(eco.trust().issue_keybox(&format!("bench-transport-{transport}")))
         .unwrap();
     let mut server = MediaDrmServer::new();
     let cdm = Cdm::builder().backend(Arc::new(backend)).build();
@@ -64,9 +53,7 @@ fn boot_binder(
     match transport {
         TransportKind::InProcess => Arc::new(InProcessBinder::new(server)),
         TransportKind::Threaded => Arc::new(ThreadedBinder::builder(server).spawn()),
-        TransportKind::Tcp => {
-            Arc::new(TcpBinder::loopback(server).pipeline_depth(pipeline_depth).build().unwrap())
-        }
+        TransportKind::Tcp => Arc::new(TcpBinder::loopback(server).build().unwrap()),
     }
 }
 
@@ -156,14 +143,9 @@ fn main() {
         .label("mode", if quick_mode() { "quick" } else { "full" })
         .label("iters", iters.to_string())
         .label("sample_bytes", SAMPLE_BYTES.to_string());
-    // The three one-call-per-roundtrip transports, then pipelined TCP:
-    // the same calls over one shared connection with eight slots in
-    // flight, replies correlated by request id.
-    let mut rows: Vec<(&str, TransportKind, usize)> =
-        TransportKind::ALL.iter().map(|&t| (t.label(), t, 1)).collect();
-    rows.push(("tcp-pipe", TransportKind::Tcp, 8));
-    for &(label, transport, depth) in &rows {
-        let binder = boot_binder(&eco, transport, depth);
+    for transport in TransportKind::ALL {
+        let label = transport.label();
+        let binder = boot_binder(&eco, transport);
         let (sid, kid) = license_session(binder.as_ref(), &eco, &token);
         // Warm-up: connections dialed, threads faulted in, caches hot.
         measure(binder.as_ref(), sid, kid, 16);
@@ -190,9 +172,13 @@ fn main() {
     report.write();
 
     let counters = wideleak::telemetry::snapshot().counters;
-    for name in ["binder.tcp.frames.sent", "binder.tcp.bytes.sent", "binder.tcp.reconnects"] {
-        if let Some((_, v)) = counters.iter().find(|(n, _)| n == name) {
-            println!("{name} = {v}");
-        }
+    for name in [
+        "binder.tcp.frames.sent",
+        "binder.tcp.bytes.sent",
+        "binder.tcp.connects",
+        "binder.tcp.reconnects",
+    ] {
+        let v = counters.iter().find(|(n, _)| n == name).map_or(0, |(_, v)| *v);
+        println!("{name} = {v}");
     }
 }

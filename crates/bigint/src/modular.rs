@@ -39,23 +39,6 @@ pub fn mod_mul(a: &BigUint, b: &BigUint, m: &BigUint) -> BigUint {
     &(&(a % m) * &(b % m)) % m
 }
 
-/// Computes `base^exp mod m`.
-///
-/// Deprecated thin wrapper over [`crate::montgomery::ModExpContext`],
-/// kept so the pre-context API surface still compiles. It rebuilds the
-/// per-modulus precomputation on every call; hot paths should build a
-/// context once and reuse it.
-///
-/// # Panics
-///
-/// Panics if `m` is zero. `m == 1` yields zero.
-#[deprecated(
-    note = "build a `wideleak_bigint::montgomery::ModExpContext` once and call `pow` on it"
-)]
-pub fn mod_pow(base: &BigUint, exp: &BigUint, m: &BigUint) -> BigUint {
-    crate::montgomery::ModExpContext::new(m).pow(base, exp)
-}
-
 /// Computes `base^exp mod m` by left-to-right square-and-multiply.
 ///
 /// This is the reference implementation the Montgomery fast path is
@@ -159,26 +142,6 @@ pub fn mod_inv(a: &BigUint, m: &BigUint) -> Option<BigUint> {
     Some(x.rem_euclid(m))
 }
 
-/// Chinese-remainder recombination for a two-prime RSA private operation:
-/// given residues `(mp mod p, mq mod q)` and `q_inv = q^-1 mod p`, returns
-/// the unique value modulo `p*q`.
-///
-/// Deprecated: [`crate::montgomery::CrtContext`] precomputes the
-/// per-prime exponentiation contexts and performs the recombination in
-/// one call.
-#[deprecated(note = "build a `wideleak_bigint::montgomery::CrtContext` and call `exp` on it")]
-pub fn crt_combine(
-    mp: &BigUint,
-    mq: &BigUint,
-    p: &BigUint,
-    q: &BigUint,
-    q_inv: &BigUint,
-) -> BigUint {
-    // h = q_inv * (mp - mq) mod p
-    let h = mod_mul(q_inv, &mod_sub(mp, mq, p), p);
-    mq + &(q * &h)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -232,24 +195,6 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
-    fn deprecated_wrappers_still_match() {
-        // The compatibility surface must agree with the context API and
-        // the schoolbook reference for both odd and even moduli.
-        for m in [7u64, 97, 4096, 1_000_000_007] {
-            assert_eq!(mod_pow(&n(123), &n(45), &n(m)), mod_pow_schoolbook(&n(123), &n(45), &n(m)));
-        }
-        assert_eq!(mod_pow(&n(5), &n(3), &n(1)), n(0));
-        let (p, q) = (n(3), n(5));
-        let q_inv = mod_inv(&q, &p).unwrap();
-        let via_ctx = crate::montgomery::CrtContext::new(&p, &q, &n(1), &n(1), &q_inv);
-        assert_eq!(
-            &crt_combine(&n(2), &n(3), &p, &q, &q_inv) % &n(15),
-            &via_ctx.exp(&n(8)) % &n(15)
-        );
-    }
-
-    #[test]
     fn gcd_cases() {
         assert_eq!(gcd(&n(12), &n(18)), n(6));
         assert_eq!(gcd(&n(17), &n(31)), n(1));
@@ -281,16 +226,5 @@ mod tests {
     fn mod_inv_nonexistent() {
         assert!(mod_inv(&n(6), &n(9)).is_none());
         assert!(mod_inv(&n(2), &BigUint::zero()).is_none());
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn crt_recombines() {
-        // x = 2 mod 3, x = 3 mod 5 -> x = 8 mod 15.
-        let p = n(3);
-        let q = n(5);
-        let q_inv = mod_inv(&q, &p).unwrap();
-        let x = crt_combine(&n(2), &n(3), &p, &q, &q_inv);
-        assert_eq!(&x % &n(15), n(8));
     }
 }

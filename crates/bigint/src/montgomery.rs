@@ -11,8 +11,8 @@
 //!   Montgomery form of 1. Multiplication uses REDC, exponentiation a
 //!   fixed 4-bit window with an on-context table of base powers.
 //! - [`ModExpContext`] — the public entry point: Montgomery for odd
-//!   moduli `> 1`, automatic schoolbook fallback otherwise, preserving
-//!   the exact semantics of the deprecated `modular::mod_pow`.
+//!   moduli `> 1`, automatic schoolbook fallback otherwise, with the
+//!   exact semantics of [`modular::mod_pow_schoolbook`].
 //! - [`CrtContext`] — a two-prime RSA private-operation context: one
 //!   `ModExpContext` per prime plus Garner recombination.
 
@@ -225,9 +225,9 @@ fn sub_in_place(a: &mut [u64], b: &[u64]) {
 /// A precomputed modular-exponentiation context for an arbitrary modulus.
 ///
 /// Odd moduli `> 1` get a [`Montgomery`] fast path; everything else falls
-/// back to schoolbook square-and-multiply so the semantics of the
-/// deprecated `modular::mod_pow` are preserved exactly (`m == 1` yields
-/// zero, `exp == 0` yields one).
+/// back to schoolbook square-and-multiply, and both paths share the
+/// semantics of [`modular::mod_pow_schoolbook`] (`m == 1` yields zero,
+/// `exp == 0` yields one).
 ///
 /// # Examples
 ///
@@ -262,7 +262,7 @@ impl ModExpContext {
     ///
     /// # Panics
     ///
-    /// Panics if `m` is zero, matching `mod_pow`.
+    /// Panics if `m` is zero, matching `mod_pow_schoolbook`.
     pub fn new(m: &BigUint) -> Self {
         assert!(!m.is_zero(), "modulus is zero");
         let inner = match Montgomery::new(m) {
@@ -285,8 +285,8 @@ impl ModExpContext {
         matches!(self.inner, Inner::Mont(_))
     }
 
-    /// Computes `base^exp mod m` with the same semantics as the
-    /// deprecated `modular::mod_pow`.
+    /// Computes `base^exp mod m` with the same semantics as
+    /// [`modular::mod_pow_schoolbook`].
     pub fn pow(&self, base: &BigUint, exp: &BigUint) -> BigUint {
         match &self.inner {
             Inner::Mont(mont) => mont.pow(base, exp),
@@ -450,6 +450,12 @@ mod tests {
         assert_eq!(ModExpContext::new(&n(97)).pow(&n(2), &n(0)), n(1));
         assert_eq!(ModExpContext::new(&n(97)).pow(&n(0), &n(5)), n(0));
         assert_eq!(ModExpContext::new(&n(1_000_000)).pow(&n(2), &n(10)), n(1024));
+        // Both the Montgomery and the schoolbook path agree with the
+        // reference, for odd and even moduli alike.
+        for m in [7u64, 97, 4096, 1_000_000_007] {
+            let ctx = ModExpContext::new(&n(m));
+            assert_eq!(ctx.pow(&n(123), &n(45)), mod_pow_schoolbook(&n(123), &n(45), &n(m)));
+        }
     }
 
     #[test]
@@ -472,6 +478,16 @@ mod tests {
             let got = &crt.exp(&n(c)) % &m;
             assert_eq!(got, mod_pow_schoolbook(&n(c), &d, &m), "c={c}");
         }
+    }
+
+    #[test]
+    fn crt_recombines_residues() {
+        // 23 = 2 mod 3 and 3 mod 5; with unit exponents the context
+        // recombines those residues into the unique 8 mod 15.
+        let (p, q) = (n(3), n(5));
+        let q_inv = mod_inv(&q, &p).unwrap();
+        let crt = CrtContext::new(&p, &q, &n(1), &n(1), &q_inv);
+        assert_eq!(&crt.exp(&n(23)) % &n(15), n(8));
     }
 
     #[test]

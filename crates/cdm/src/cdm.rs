@@ -44,7 +44,6 @@ pub struct CdmBuilder {
     keybox: Option<Keybox>,
     backend: Option<Arc<dyn OemCrypto + Sync>>,
     force_l3: bool,
-    decrypt_cache: bool,
 }
 
 impl CdmBuilder {
@@ -69,15 +68,6 @@ impl CdmBuilder {
     #[must_use]
     pub fn force_l3(mut self, force: bool) -> Self {
         self.force_l3 = force;
-        self
-    }
-
-    /// Enables the per-session decrypt cache (derived key schedules +
-    /// `cenc` keystream prefixes). Off by default; backends without a
-    /// normal-world core — the L1 trustlet path — ignore the flag.
-    #[must_use]
-    pub fn decrypt_cache(mut self, enabled: bool) -> Self {
-        self.decrypt_cache = enabled;
         self
     }
 
@@ -120,9 +110,6 @@ impl CdmBuilder {
                 }
             };
         backend.install_keybox(keybox)?;
-        if self.decrypt_cache {
-            backend.set_decrypt_cache(true);
-        }
         Ok(Cdm { backend, secure_world })
     }
 
@@ -134,9 +121,6 @@ impl CdmBuilder {
     #[must_use]
     pub fn build(self) -> Cdm {
         let backend = self.backend.expect("CdmBuilder::build requires a backend");
-        if self.decrypt_cache {
-            backend.set_decrypt_cache(true);
-        }
         Cdm { backend, secure_world: None }
     }
 }

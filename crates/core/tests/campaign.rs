@@ -18,21 +18,10 @@ use wideleak::android_drm::campaign::{CampaignError, LatencyHistogram, HISTOGRAM
 use wideleak::load::LatencySummary;
 use wideleak::monitor::campaign::{run_campaign, CampaignConfig, WorkerCommand, WorkerProcess};
 
-/// The workspace `wideleak` binary next to the test executable
-/// (`target/debug/deps/campaign-*` → `target/debug/wideleak`). A
-/// workspace-level `cargo test` always builds it; fail loudly when a
-/// partial build did not.
+/// The `wideleak` binary of this package, which cargo builds before
+/// running the package's integration tests.
 fn wideleak_bin() -> WorkerCommand {
-    let mut path: PathBuf = std::env::current_exe().expect("test executable path");
-    path.pop(); // the test binary itself
-    path.pop(); // deps/
-    path.push("wideleak");
-    assert!(
-        path.exists(),
-        "worker binary {} not built; run a workspace-level `cargo test` or `cargo build -p wideleak`",
-        path.display()
-    );
-    WorkerCommand { program: path, args: Vec::new() }
+    WorkerCommand { program: PathBuf::from(env!("CARGO_BIN_EXE_wideleak")), args: Vec::new() }
 }
 
 #[test]

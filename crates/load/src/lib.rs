@@ -5,17 +5,12 @@
 //! deterministic for
 //! a given [`LoadConfig`]: service times are modeled from the seed (not
 //! wall time), percentiles are computed exactly from the full sample
-//! set, and the warm-up phase absorbs every cold cache miss on the main
-//! thread before the concurrent workers start — so cache hit/miss
-//! counters come out identical run to run regardless of interleaving.
+//! set, and the warm-up phase runs every device's first provisioning
+//! on the main thread before the concurrent workers start.
 //!
-//! The generator exercises the three hot-path caches end to end:
-//! repeated plays hit the license-response cache, periodic device
-//! check-ins ([`OttApp::reprovision`]) hit the provisioning-certificate
-//! cache, and repeated sample decrypts hit the per-session derived-key
-//! cache in the CDM. With [`CacheConfig::none`] the same traffic runs
-//! the full cold paths, which is what `benches/license_path.rs` and the
-//! caches-off byte-identity tests compare against.
+//! Steady-state workers replay plays and periodic device check-ins
+//! ([`OttApp::reprovision`]) against the same full server and CDM paths
+//! the study uses.
 
 use std::collections::{HashMap, VecDeque};
 use std::io::{Read, Write};
@@ -35,11 +30,9 @@ use wideleak_faults::{det_hash, VirtualClock};
 use wideleak_ott::adapt::AdaptConfig;
 use wideleak_ott::apps::OttApp;
 use wideleak_ott::bandwidth::{BandwidthConfig, BandwidthSchedule, ClientLink};
-use wideleak_ott::cache::{CacheConfig, CacheStats};
-use wideleak_ott::ecosystem::{DeviceStack, Ecosystem, EcosystemConfig};
+use wideleak_ott::ecosystem::{Ecosystem, EcosystemConfig};
 
 pub use wideleak_android_drm::binder::TransportKind;
-pub use wideleak_cdm::oemcrypto::DecryptCacheStats;
 
 /// Apps that stream on a discontinued L3 device (no revocation
 /// enforcement), cycled across the fleet's devices.
@@ -48,11 +41,9 @@ const FLEET_APPS: &[&str] = &["netflix", "hulu", "mycanal", "showtime", "ocs", "
 /// The two demo titles workers alternate between.
 const FLEET_TITLES: &[&str] = &["title-001", "title-002"];
 
-/// Modeled service time of a play that runs the full cold path (ms).
-const COLD_BASE_MS: u64 = 42;
-/// Modeled service time of a play served from warm caches (ms).
-const WARM_BASE_MS: u64 = 11;
-/// Seeded jitter added on top of either base (exclusive upper bound, ms).
+/// Modeled service time of one play (ms).
+const PLAY_BASE_MS: u64 = 42;
+/// Seeded jitter added on top of the base (exclusive upper bound, ms).
 const JITTER_MS: u64 = 9;
 /// Worker-index sentinel for warm-up plays in the latency salt.
 const WARMUP_WORKER: usize = 0xFFFF;
@@ -151,8 +142,6 @@ pub struct LoadConfig {
     pub seed: u64,
     /// Arrival discipline.
     pub mode: LoadMode,
-    /// Which hot-path caches run.
-    pub caches: CacheConfig,
     /// Which binder transport the fleet's devices boot with.
     pub transport: TransportKind,
     /// Congestion preset for the steady-state playback traffic.
@@ -167,7 +156,6 @@ impl Default for LoadConfig {
             plays_per_worker: 6,
             seed: 2022,
             mode: LoadMode::Closed,
-            caches: CacheConfig::all(),
             transport: TransportKind::Threaded,
             congestion: Congestion::None,
         }
@@ -267,12 +255,6 @@ pub struct LoadReport {
     /// Plays per virtual second, in hundredths (integer — no float
     /// formatting differences between runs).
     pub throughput_centi_per_sec: u64,
-    /// Provisioning-certificate cache counters, when that cache ran.
-    pub provisioning_cache: Option<CacheStats>,
-    /// License-response cache counters, when that cache ran.
-    pub license_cache: Option<CacheStats>,
-    /// Decrypt-cache counters summed across the fleet, when enabled.
-    pub decrypt_cache: Option<DecryptCacheStats>,
     /// Fleet-wide adaptive-path counters, present when a congestion
     /// preset other than `none` drove the steady phase.
     pub adaptive: Option<AdaptiveLoadStats>,
@@ -331,7 +313,6 @@ impl LoadReport {
             c.mode.label(),
             c.transport.label(),
         );
-        let _ = writeln!(out, "caches:     {}", cache_label(c.caches));
         let _ = writeln!(
             out,
             "plays:      {} total ({} warm-up + {} steady), {} failed, {} check-ins",
@@ -361,32 +342,6 @@ impl LoadReport {
                 phase, l.count, l.min_ms, l.mean_ms, l.p50_ms, l.p95_ms, l.p99_ms, l.max_ms
             );
         }
-        out.push_str("cache hit rates:\n");
-        match &self.provisioning_cache {
-            Some(s) => {
-                let _ = writeln!(out, "  provisioning certs: {}", cache_stats_line(s));
-            }
-            None => out.push_str("  provisioning certs: disabled\n"),
-        }
-        match &self.license_cache {
-            Some(s) => {
-                let _ = writeln!(out, "  license responses:  {}", cache_stats_line(s));
-            }
-            None => out.push_str("  license responses:  disabled\n"),
-        }
-        match &self.decrypt_cache {
-            Some(s) => {
-                let _ = writeln!(
-                    out,
-                    "  decrypt keys:       key {}/{} hits, keystream {}/{} hits",
-                    s.key_hits,
-                    s.key_hits + s.key_misses,
-                    s.keystream_hits,
-                    s.keystream_hits + s.keystream_misses,
-                );
-            }
-            None => out.push_str("  decrypt keys:       disabled\n"),
-        }
         if let Some(a) = &self.adaptive {
             let _ = writeln!(
                 out,
@@ -402,40 +357,12 @@ impl LoadReport {
     }
 }
 
-fn cache_label(caches: CacheConfig) -> String {
-    if !caches.any() {
-        return "disabled".to_owned();
-    }
-    let mut parts = Vec::new();
-    if caches.provisioning_cert {
-        parts.push("provisioning");
-    }
-    if caches.license_response {
-        parts.push("license");
-    }
-    if caches.decrypt_keys {
-        parts.push("decrypt");
-    }
-    parts.join("+")
-}
-
-fn cache_stats_line(s: &CacheStats) -> String {
-    format!("{}/{} hits ({} permille)", s.hits, s.lookups(), s.hit_permille())
-}
-
-/// Modeled service time of one play: a base picked by cache warmth plus
-/// seeded jitter. A pure function of the indices, so the latency
-/// population is independent of thread interleaving.
-fn modeled_latency_ms(seed: u64, device: usize, worker: usize, iter: usize, warm: bool) -> u64 {
+/// Modeled service time of one play: a fixed base plus seeded jitter.
+/// A pure function of the indices, so the latency population is
+/// independent of thread interleaving.
+fn modeled_latency_ms(seed: u64, device: usize, worker: usize, iter: usize) -> u64 {
     let salt = ((device as u64) << 40) | ((worker as u64) << 20) | iter as u64;
-    let base = if warm { WARM_BASE_MS } else { COLD_BASE_MS };
-    base + det_hash(seed, salt) % JITTER_MS
-}
-
-/// One booted fleet member: its stack and installed app.
-struct FleetDevice {
-    stack: DeviceStack,
-    app: OttApp,
+    PLAY_BASE_MS + det_hash(seed, salt) % JITTER_MS
 }
 
 /// Runs one load-generator pass and returns its report.
@@ -451,7 +378,6 @@ pub fn run_load(config: &LoadConfig) -> LoadReport {
     assert!(config.devices > 0, "load run needs at least one device");
     let eco = Ecosystem::new(EcosystemConfig {
         seed: config.seed,
-        caches: config.caches,
         transport: config.transport,
         bandwidth: config.congestion.bandwidth(),
         ..EcosystemConfig::fast_for_tests()
@@ -466,29 +392,22 @@ pub fn run_load(config: &LoadConfig) -> LoadReport {
     // output protection caps at 540p.
     let adaptive = config.congestion != Congestion::None;
     let model = if adaptive { DeviceModel::pixel_6() } else { DeviceModel::nexus_5() };
-    let fleet: Vec<FleetDevice> = (0..config.devices)
+    let fleet: Vec<OttApp> = (0..config.devices)
         .map(|d| {
             let stack = eco.boot_device_with(model.clone(), false, config.transport);
-            let app = eco.install_app(
-                &stack,
-                FLEET_APPS[d % FLEET_APPS.len()],
-                &format!("load-user-{d}"),
-            );
-            FleetDevice { stack, app }
+            eco.install_app(&stack, FLEET_APPS[d % FLEET_APPS.len()], &format!("load-user-{d}"))
         })
         .collect();
 
-    // Warm-up: play every title once per device on the main thread.
-    // All cold cache misses (provisioning keygen, license plan
-    // resolution) happen here, sequentially and deterministically, so
-    // the concurrent phase below only ever produces cache hits and the
-    // counters are interleaving-independent.
+    // Warm-up: play every title once per device on the main thread, so
+    // each device's provisioning (RSA keygen) runs here, sequentially,
+    // before the concurrent phase below.
     let mut warmup_samples = Vec::new();
     let mut warmup_failed = 0u64;
-    for (d, member) in fleet.iter().enumerate() {
+    for (d, app) in fleet.iter().enumerate() {
         for (i, title) in FLEET_TITLES.iter().enumerate() {
-            let lat = modeled_latency_ms(config.seed, d, WARMUP_WORKER, i, false);
-            if member.app.play(title).is_err() {
+            let lat = modeled_latency_ms(config.seed, d, WARMUP_WORKER, i);
+            if app.play(title).is_err() {
                 warmup_failed += 1;
             }
             clock.advance_ms(lat);
@@ -512,15 +431,17 @@ pub fn run_load(config: &LoadConfig) -> LoadReport {
     let mut worker_results: Vec<(Vec<u64>, u64, AdaptiveLoadStats)> = Vec::new();
     std::thread::scope(|scope| {
         let mut handles = Vec::new();
-        for (d, member) in fleet.iter().enumerate() {
+        for (d, app) in fleet.iter().enumerate() {
             for w in 0..config.workers_per_device {
                 let clock = &clock;
                 let failed = &failed;
                 let checkins = &checkins;
                 let link = links.pop_front().expect("one link minted per worker");
-                handles.push(scope.spawn(move || {
-                    run_worker(config, &member.app, clock, failed, checkins, d, w, link)
-                }));
+                handles.push(
+                    scope.spawn(move || {
+                        run_worker(config, app, clock, failed, checkins, d, w, link)
+                    }),
+                );
             }
         }
         for handle in handles {
@@ -540,7 +461,6 @@ pub fn run_load(config: &LoadConfig) -> LoadReport {
     });
     let makespan_ms = (warmup_span_ms + longest_chain_ms).max(1);
     let total_plays = warmup_samples.len() as u64 + steady_samples.len() as u64;
-    let decrypt_cache = config.caches.decrypt_keys.then(|| sum_decrypt_stats(&fleet)).flatten();
     LoadReport {
         config: *config,
         warmup_plays: warmup_samples.len() as u64,
@@ -551,9 +471,6 @@ pub fn run_load(config: &LoadConfig) -> LoadReport {
         steady_latency: LatencySummary::from_samples(&mut steady_samples),
         makespan_ms,
         throughput_centi_per_sec: total_plays * 100_000 / makespan_ms,
-        provisioning_cache: eco.provisioning_cache_stats(),
-        license_cache: eco.license_cache_stats(),
-        decrypt_cache,
         adaptive: adaptive_stats,
     }
 }
@@ -572,7 +489,6 @@ fn run_worker(
     worker: usize,
     mut link: Option<ClientLink>,
 ) -> (Vec<u64>, u64, AdaptiveLoadStats) {
-    let warm = config.caches.any();
     let mut samples = Vec::with_capacity(config.plays_per_worker);
     let mut span_ms = 0u64;
     let mut adaptive = AdaptiveLoadStats::default();
@@ -584,7 +500,7 @@ fn run_worker(
         let title = FLEET_TITLES[iter % FLEET_TITLES.len()];
         // Under congestion a play's modeled service time additionally
         // carries the rebuffer stalls its link imposed.
-        let mut lat = modeled_latency_ms(config.seed, device, worker, iter, warm);
+        let mut lat = modeled_latency_ms(config.seed, device, worker, iter);
         match link.as_mut() {
             Some(l) => match app.play_adaptive(title, &AdaptConfig::quick(), l) {
                 Ok(outcome) => {
@@ -611,8 +527,8 @@ fn run_worker(
         observe_play(lat);
         samples.push(lat);
         span_ms += lat;
-        // Periodic device check-in: re-runs the provisioning exchange,
-        // which the certificate cache serves without RSA keygen.
+        // Periodic device check-in: re-runs the provisioning exchange
+        // (the server reissues the device's existing RSA key).
         if iter % 3 == 2 {
             if app.reprovision().is_err() {
                 failed.fetch_add(1, Ordering::Relaxed);
@@ -629,22 +545,6 @@ fn observe_play(lat_ms: u64) {
         wideleak_telemetry::observe("load.play.latency", Duration::from_millis(lat_ms));
         wideleak_telemetry::incr("load.plays");
     }
-}
-
-/// Sums decrypt-cache counters across the fleet. `None` when the cache
-/// is disabled (every backend reports `None`).
-fn sum_decrypt_stats(fleet: &[FleetDevice]) -> Option<DecryptCacheStats> {
-    let mut total: Option<DecryptCacheStats> = None;
-    for member in fleet {
-        if let Some(s) = member.stack.cdm.oemcrypto().decrypt_cache_stats() {
-            let t = total.get_or_insert_with(DecryptCacheStats::default);
-            t.key_hits += s.key_hits;
-            t.key_misses += s.key_misses;
-            t.keystream_hits += s.keystream_hits;
-            t.keystream_misses += s.keystream_misses;
-        }
-    }
-    total
 }
 
 // ---------------------------------------------------------------------
@@ -1111,31 +1011,10 @@ mod tests {
     }
 
     #[test]
-    fn cached_run_registers_hits_on_every_tier() {
+    fn quick_run_plays_and_checks_in_without_failures() {
         let report = run_load(&LoadConfig::quick());
         assert_eq!(report.failed_plays, 0);
         assert!(report.checkins > 0);
-        let prov = report.provisioning_cache.expect("cert cache enabled");
-        assert!(prov.hits > 0, "check-ins hit the cert cache: {prov:?}");
-        let lic = report.license_cache.expect("license cache enabled");
-        assert!(lic.hits > 0, "steady plays hit the license cache: {lic:?}");
-        let dec = report.decrypt_cache.expect("decrypt cache enabled");
-        assert!(dec.key_hits > 0, "repeat samples reuse key schedules: {dec:?}");
-        assert!(
-            report.steady_latency.p50_ms < report.warmup_latency.p50_ms,
-            "warm plays are modeled faster than cold plays"
-        );
-    }
-
-    #[test]
-    fn uncached_run_reports_disabled_caches() {
-        let config = LoadConfig { caches: CacheConfig::none(), ..LoadConfig::quick() };
-        let report = run_load(&config);
-        assert_eq!(report.failed_plays, 0);
-        assert!(report.provisioning_cache.is_none());
-        assert!(report.license_cache.is_none());
-        assert!(report.decrypt_cache.is_none());
-        assert!(report.render().contains("disabled"));
     }
 
     #[test]

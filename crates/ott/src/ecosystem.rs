@@ -20,7 +20,6 @@ use wideleak_faults::{corrupt_body, FaultInjector, FaultKind, FaultPlan, Plane, 
 use crate::accounts::AccountRegistry;
 use crate::apps::{encode_backend_error, evaluated_apps, AppProfile, EmbeddedWidevine, OttApp};
 use crate::bandwidth::{BandwidthConfig, ClientLink};
-use crate::cache::{CacheConfig, CacheStats, ProvisionCertCache};
 use crate::cdn::CdnServer;
 use crate::content::{demo_catalog, Title};
 use crate::license::LicenseServer;
@@ -48,19 +47,10 @@ pub struct EcosystemConfig {
     pub fault_plan: FaultPlan,
     /// How installed app clients react to failures.
     pub resilience: ResiliencePolicy,
-    /// Which hot-path caches run. All off by default: the published
-    /// tables are produced cache-free, and enabling any cache must leave
-    /// them byte-identical.
-    pub caches: CacheConfig,
     /// Which binder transport booted devices use. In-process by default;
     /// the differential battery pins that threaded and TCP produce
     /// byte-identical study output, so this is a realism/perf knob only.
     pub transport: TransportKind,
-    /// How many calls a TCP binder may keep in flight on one shared
-    /// connection. ≤ 1 (the default) keeps the pooled
-    /// one-call-per-socket mode; ≥ 2 enables request-id pipelining.
-    /// Ignored by the in-memory transports.
-    pub tcp_pipeline_depth: usize,
     /// Bandwidth model applied to adaptive playbacks. `None` (the
     /// default) leaves every non-adaptive path untouched and mints
     /// unconstrained links for adaptive ones, keeping the Table I and
@@ -77,9 +67,7 @@ impl Default for EcosystemConfig {
             verify_attested_level: true,
             fault_plan: FaultPlan::empty(),
             resilience: ResiliencePolicy::default(),
-            caches: CacheConfig::none(),
             transport: TransportKind::InProcess,
-            tcp_pipeline_depth: 1,
             bandwidth: None,
         }
     }
@@ -247,9 +235,6 @@ pub struct Ecosystem {
     trust: Arc<TrustAuthority>,
     accounts: Arc<AccountRegistry>,
     backend: Arc<BackendRouter>,
-    provisioning: Arc<ProvisioningServer>,
-    license: Arc<LicenseServer>,
-    cert_cache: Option<Arc<ProvisionCertCache>>,
     injector: Arc<FaultInjector>,
     profiles: Vec<AppProfile>,
     titles: Vec<Title>,
@@ -287,32 +272,28 @@ impl Ecosystem {
         let trust = Arc::new(TrustAuthority::new(config.seed));
         let accounts = Arc::new(AccountRegistry::new());
         let injector = Arc::new(FaultInjector::new(&config.fault_plan, config.seed ^ 0xFA17));
-        let cert_cache =
-            config.caches.provisioning_cert.then(|| Arc::new(ProvisionCertCache::new()));
-        let mut provisioning_builder = ProvisioningServer::builder(trust.clone())
-            .policy(config.revocation)
-            .rsa_bits(config.rsa_bits)
-            .seed(config.seed ^ 0x1111);
-        if let Some(cache) = &cert_cache {
-            provisioning_builder = provisioning_builder.cert_cache(cache.clone());
-        }
-        let provisioning = Arc::new(provisioning_builder.build());
-        let mut license_builder = LicenseServer::builder(trust.clone(), accounts.clone())
-            .revocation(config.revocation)
-            .verify_attested_level(config.verify_attested_level)
-            .seed(config.seed ^ 0x2222);
-        if config.caches.license_response {
-            license_builder = license_builder.response_cache(injector.clock().clone());
-        }
-        let license = Arc::new(license_builder.build());
+        let provisioning = Arc::new(
+            ProvisioningServer::builder(trust.clone())
+                .policy(config.revocation)
+                .rsa_bits(config.rsa_bits)
+                .seed(config.seed ^ 0x1111)
+                .build(),
+        );
+        let license = Arc::new(
+            LicenseServer::builder(trust.clone(), accounts.clone())
+                .revocation(config.revocation)
+                .verify_attested_level(config.verify_attested_level)
+                .seed(config.seed ^ 0x2222)
+                .build(),
+        );
         let cdn = Arc::new(CdnServer::new(
             accounts.clone(),
             profiles.iter().map(AppProfile::cdn_config).collect(),
             titles.clone(),
         ));
         let backend = Arc::new(BackendRouter {
-            provisioning: provisioning.clone(),
-            license: license.clone(),
+            provisioning,
+            license,
             cdn,
             profiles: profiles.iter().map(|p| (p.slug.to_owned(), p.clone())).collect(),
             injector: injector.clone(),
@@ -322,9 +303,6 @@ impl Ecosystem {
             trust,
             accounts,
             backend,
-            provisioning,
-            license,
-            cert_cache,
             injector,
             profiles,
             titles,
@@ -384,36 +362,16 @@ impl Ecosystem {
         &self.accounts
     }
 
-    /// The active cache configuration.
-    pub fn cache_config(&self) -> CacheConfig {
-        self.config.caches
-    }
-
-    /// Provisioning-certificate cache counters, when that cache runs.
-    pub fn provisioning_cache_stats(&self) -> Option<CacheStats> {
-        self.provisioning.cert_cache_stats()
-    }
-
-    /// License-response cache counters, when that cache runs.
-    pub fn license_cache_stats(&self) -> Option<CacheStats> {
-        self.license.response_cache_stats()
-    }
-
     /// Rotates a device's keybox in place: the trust authority issues a
-    /// fresh-generation keybox under the same identity, the device's CDM
-    /// installs it, and the provisioning-certificate cache drops the now
-    /// stale wrap material for that identity.
+    /// fresh-generation keybox under the same identity and the device's
+    /// CDM installs it.
     ///
     /// # Errors
     ///
     /// Propagates keybox installation failures from the CDM.
     pub fn rotate_keybox(&self, stack: &DeviceStack) -> Result<(), OttError> {
         let keybox = self.trust.rotate_keybox(&stack.instance_name);
-        let device_id = keybox.device_id().to_vec();
         stack.cdm.oemcrypto().install_keybox(keybox)?;
-        if let Some(cache) = &self.cert_cache {
-            cache.invalidate(&device_id);
-        }
         Ok(())
     }
 
@@ -443,11 +401,7 @@ impl Ecosystem {
         let device = Arc::new(if rooted { Device::rooted(model) } else { Device::new(model) });
         let keybox = self.trust.issue_keybox(&instance_name);
         let cdm = Arc::new(
-            Cdm::builder()
-                .keybox(keybox)
-                .decrypt_cache(self.config.caches.decrypt_keys)
-                .boot(&device)
-                .expect("keybox installation succeeds"),
+            Cdm::builder().keybox(keybox).boot(&device).expect("keybox installation succeeds"),
         );
         let mut server = MediaDrmServer::new();
         server.register_plugin(WIDEVINE_SYSTEM_ID, cdm.clone());
@@ -461,7 +415,6 @@ impl Ecosystem {
             TransportKind::Tcp => Arc::new(
                 TcpBinder::loopback(server)
                     .fault_injector(self.injector.clone())
-                    .pipeline_depth(self.config.tcp_pipeline_depth)
                     .build()
                     .expect("binding a loopback media drm server"),
             ),
@@ -479,11 +432,7 @@ impl Ecosystem {
         let device = Arc::new(Device::new(model));
         let keybox = self.trust.issue_keybox(&instance_name);
         let cdm = Arc::new(
-            Cdm::builder()
-                .keybox(keybox)
-                .decrypt_cache(self.config.caches.decrypt_keys)
-                .boot(&device)
-                .expect("keybox installation succeeds"),
+            Cdm::builder().keybox(keybox).boot(&device).expect("keybox installation succeeds"),
         );
         let mut server = MediaDrmServer::new();
         server.register_plugin(WIDEVINE_SYSTEM_ID, cdm);
@@ -639,51 +588,28 @@ mod tests {
     }
 
     #[test]
-    fn cached_ecosystem_plays_byte_identically_and_registers_hits() {
-        let plain = ecosystem();
-        let cached = Ecosystem::new(EcosystemConfig {
-            caches: CacheConfig::all(),
-            ..EcosystemConfig::fast_for_tests()
-        });
-        let mut outcomes = Vec::new();
-        for eco in [&plain, &cached] {
-            let stack = eco.boot_device(DeviceModel::nexus_5(), false);
-            let app = eco.install_app(&stack, "netflix", "alice");
-            let first = app.play("title-001").unwrap();
-            let second = app.play("title-001").unwrap();
-            assert_eq!(first.video_samples, second.video_samples);
-            app.reprovision().unwrap();
-            outcomes.push((first, stack));
-        }
-        let (plain_outcome, _) = &outcomes[0];
-        let (cached_outcome, cached_stack) = &outcomes[1];
-        assert_eq!(plain_outcome.resolution, cached_outcome.resolution);
-        assert_eq!(plain_outcome.video_samples, cached_outcome.video_samples);
-        assert_eq!(plain_outcome.audio_samples, cached_outcome.audio_samples);
-        assert_eq!(plain_outcome.subtitle_text, cached_outcome.subtitle_text);
-
-        assert!(plain.license_cache_stats().is_none());
-        assert!(plain.provisioning_cache_stats().is_none());
-        let license_stats = cached.license_cache_stats().unwrap();
-        assert!(license_stats.hits > 0, "second play reuses license plans: {license_stats:?}");
-        let prov_stats = cached.provisioning_cache_stats().unwrap();
-        assert_eq!((prov_stats.hits, prov_stats.misses), (1, 1), "check-in hits the cert cache");
-        let decrypt_stats = cached_stack.cdm.oemcrypto().decrypt_cache_stats().unwrap();
-        assert!(decrypt_stats.key_hits > 0, "repeat samples reuse key schedules");
+    fn repeat_plays_are_byte_identical_across_check_ins() {
+        let eco = ecosystem();
+        let stack = eco.boot_device(DeviceModel::nexus_5(), false);
+        let app = eco.install_app(&stack, "netflix", "alice");
+        let first = app.play("title-001").unwrap();
+        app.reprovision().unwrap();
+        let second = app.play("title-001").unwrap();
+        assert_eq!(first.resolution, second.resolution);
+        assert_eq!(first.video_samples, second.video_samples);
+        assert_eq!(first.audio_samples, second.audio_samples);
+        assert_eq!(first.subtitle_text, second.subtitle_text);
     }
 
     #[test]
     fn keybox_rotation_reprovisions_cleanly() {
-        let eco = Ecosystem::new(EcosystemConfig {
-            caches: CacheConfig::all(),
-            ..EcosystemConfig::fast_for_tests()
-        });
+        let eco = ecosystem();
         let stack = eco.boot_device(DeviceModel::nexus_5(), false);
         let app = eco.install_app(&stack, "netflix", "alice");
         app.play("title-001").unwrap();
         eco.rotate_keybox(&stack).unwrap();
-        // The rotated device re-provisions through the full path (the
-        // stale cache entry was invalidated) and keeps playing.
+        // The rotated device re-provisions under its new keybox and keeps
+        // playing.
         app.reprovision().unwrap();
         app.play("title-001").unwrap();
     }

@@ -21,7 +21,6 @@ pub mod accounts;
 pub mod adapt;
 pub mod apps;
 pub mod bandwidth;
-pub mod cache;
 pub mod cdn;
 pub mod content;
 pub mod ecosystem;

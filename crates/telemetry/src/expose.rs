@@ -235,6 +235,7 @@ mod tests {
 
     #[test]
     fn endpoint_serves_metrics_health_and_404() {
+        let _guard = crate::test_lock();
         crate::enable();
         crate::incr("expose.test.hits");
         let server = ExpositionServer::bind("127.0.0.1:0").unwrap();

@@ -295,6 +295,15 @@ pub fn reset() {
     global().reset();
 }
 
+/// Serializes this crate's tests that mutate or read back the global
+/// collector or tracer, so one test's clear or drain never lands inside
+/// another test's read-back.
+#[cfg(test)]
+pub(crate) fn test_lock() -> parking_lot::MutexGuard<'static, ()> {
+    static LOCK: parking_lot::Mutex<()> = parking_lot::Mutex::new(());
+    LOCK.lock()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -400,6 +400,7 @@ mod tests {
     #[test]
     fn counter_handle_survives_registry_clear() {
         static HANDLE: CounterHandle = CounterHandle::new("metrics.test.survives_clear");
+        let _guard = crate::test_lock();
         crate::enable();
         HANDLE.add(3);
         let registry = crate::global().registry();

@@ -534,12 +534,8 @@ pub fn parse_jsonl(text: &str) -> Vec<ParsedTraceSpan> {
 mod tests {
     use super::*;
 
-    /// Tests in this module share the process-wide tracer, so they
-    /// funnel through one lock to keep drains from interleaving.
-    static TEST_LOCK: Mutex<()> = Mutex::new(());
-
     fn with_fresh_tracer<R>(f: impl FnOnce() -> R) -> R {
-        let _guard = TEST_LOCK.lock();
+        let _guard = crate::test_lock();
         enable();
         let _ = drain();
         let r = f();
@@ -621,7 +617,7 @@ mod tests {
 
     #[test]
     fn disabled_tracing_is_inert() {
-        let _guard = TEST_LOCK.lock();
+        let _guard = crate::test_lock();
         disable();
         let _ = drain();
         {

@@ -6,21 +6,12 @@
 
 use wideleak::android_drm::binder::TransportKind;
 use wideleak::monitor::report::render_table_1;
-use wideleak::monitor::resilience::{
-    render_q5, run_resilience_study_on, run_resilience_study_with, scenarios,
-};
+use wideleak::monitor::resilience::{render_q5, run_resilience_study_on, scenarios};
 use wideleak::monitor::study::run_study;
 use wideleak::ott::ecosystem::{Ecosystem, EcosystemConfig};
 
 fn table_1_on(transport: TransportKind) -> String {
-    table_1_with(transport, 1)
-}
-
-fn table_1_with(transport: TransportKind, tcp_pipeline_depth: usize) -> String {
-    let mut config = EcosystemConfig::fast_for_tests();
-    config.transport = transport;
-    config.tcp_pipeline_depth = tcp_pipeline_depth;
-    let eco = Ecosystem::new(config);
+    let eco = Ecosystem::new(EcosystemConfig { transport, ..EcosystemConfig::fast_for_tests() });
     let report = run_study(&eco).unwrap_or_else(|e| panic!("{transport} study runs: {e}"));
     render_table_1(&report)
 }
@@ -64,28 +55,4 @@ fn q5_binder_storm_is_byte_identical_across_all_transports() {
             "the rendered Q5 report must not depend on the {transport} transport"
         );
     }
-}
-
-/// Pipelined TCP (eight calls in flight per shared connection,
-/// correlated by wire-v3 request ids) is still the same transport from
-/// the study's point of view: Table I must stay byte-identical with
-/// the in-process baseline.
-#[test]
-fn table_1_is_byte_identical_under_tcp_pipelining() {
-    let baseline = table_1_on(TransportKind::InProcess);
-    assert_eq!(
-        table_1_with(TransportKind::Tcp, 8),
-        baseline,
-        "Table I must not depend on TCP pipelining"
-    );
-}
-
-/// The Q5 drop-storm sweep under pipelining: out-of-order replies and
-/// shared-connection fault realisation must not move a single cell.
-#[test]
-fn q5_binder_storm_is_byte_identical_under_tcp_pipelining() {
-    let baseline = run_resilience_study_on(11, true, TransportKind::InProcess);
-    let pipelined = run_resilience_study_with(11, true, TransportKind::Tcp, 8);
-    assert_eq!(pipelined, baseline, "Q5 cells must not depend on TCP pipelining");
-    assert_eq!(render_q5(&pipelined), render_q5(&baseline));
 }
